@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.bitops import (
     HAVE_BITWISE_COUNT,
-    KERNEL_BLOCK_ROWS,
+    kernel_block_rows,
     pack_bits,
     packed_hamming_matrix,
 )
@@ -228,7 +228,13 @@ def benchmark_callable(name: str, group: str, params: Mapping[str, Any],
 
 
 def collect_environment(repo_root: str | Path | None = None) -> dict[str, Any]:
-    """Commit, timestamp and library versions stamped into every BENCH file."""
+    """Commit, timestamp and library versions stamped into every BENCH file.
+
+    ``blas_threads`` is the OpenBLAS count outside serving; running
+    servers hold it at 1 (:mod:`repro.serve.blas`).
+    """
+    from repro.serve import blas
+
     root = Path(repo_root) if repo_root is not None else Path.cwd()
     try:
         commit = subprocess.run(
@@ -244,6 +250,8 @@ def collect_environment(repo_root: str | Path | None = None) -> dict[str, Any]:
         "numpy": np.__version__,
         "platform": platform.platform(),
         "have_bitwise_count": HAVE_BITWISE_COUNT,
+        "cores": os.cpu_count() or 1,
+        "blas_threads": blas.thread_count(),
     }
 
 
@@ -343,7 +351,7 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
         # Threaded records only where threading actually engages (the
         # kernel runs serially on a single row block); timing the serial
         # fallback as "threaded" would misreport ~1.0x as a null result.
-        cell_thread_counts = thread_counts if rows > KERNEL_BLOCK_ROWS else ()
+        cell_thread_counts = thread_counts if rows > kernel_block_rows(rows) else ()
         for workers in cell_thread_counts:
             threaded_result = packed_hamming_matrix(packed_a, packed_b,
                                                     num_threads=workers)

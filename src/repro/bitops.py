@@ -21,6 +21,14 @@ Both backends are bit-exact; :func:`packed_hamming_matrix` is bit-exact
 against the naive XOR-sum over unpacked bits for any bit length, including
 lengths not divisible by 8 or 64 (the zero padding cancels in the XOR).
 
+The pairwise kernel transposes its right operand once per call to
+word-major ``(words, rows_b)`` order, so every per-word XOR streams one
+contiguous row instead of striding across ``b``'s rows.  It then walks
+``rows_a`` in blocks sized by element count (:data:`KERNEL_BLOCK_ELEMENTS`,
+so the block's XOR, popcount and accumulator buffers stay cache-resident
+whatever ``rows_b`` is) and reuses those preallocated buffers, via
+``out=``, for every word of every block.
+
 This module is deliberately a *leaf*: it depends on NumPy only.  Both
 ``repro.core`` (hashing, simulator) and ``repro.cam`` (array storage and
 search) build on these kernels, so the implementation must not import
@@ -55,9 +63,10 @@ HAVE_BITWISE_COUNT: bool = hasattr(np, "bitwise_count")
 #: overflow: the agreement matrix lies in [-k, k], so k must fit in int16.
 INT16_SAFE_MAX_BITS: int = int(np.iinfo(np.int16).max)
 
-#: Row-block size of the blocked kernel; keeps the per-block XOR temporary
-#: (block x rows_b x 8 bytes per word) inside the last-level cache.
-KERNEL_BLOCK_ROWS: int = 512
+#: Target size, in ``(row_a, row_b)`` pairs, of one block of the pairwise
+#: kernel: the block's uint64 XOR buffer (256 KiB at this size) plus its
+#: popcount and accumulator buffers fit a typical per-core L2 cache.
+KERNEL_BLOCK_ELEMENTS: int = 32 * 1024
 
 #: Environment variable enabling multi-threaded row-block execution of
 #: :func:`packed_hamming_matrix`.  Unset or "1" keeps the kernel serial;
@@ -246,23 +255,67 @@ def packed_hamming_vector(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return popcount(m ^ q[None, :]).sum(axis=1, dtype=np.int64)
 
 
-def _hamming_block(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+def kernel_block_rows(rows_b: int) -> int:
+    """Rows of ``a`` per kernel block against ``rows_b`` rows of ``b``."""
+    return max(1, KERNEL_BLOCK_ELEMENTS // max(1, rows_b))
+
+
+def kernel_spans(rows_a: int, rows_b: int) -> list[tuple[int, int]]:
+    """The cache-sized ``(start, stop)`` row blocks of the pairwise kernel."""
+    step = kernel_block_rows(rows_b)
+    return [(start, min(start + step, rows_a)) for start in range(0, rows_a, step)]
+
+
+def word_major(b: np.ndarray) -> np.ndarray:
+    """``(rows, words)`` packed rows as a contiguous ``(words, rows)`` array."""
+    return np.ascontiguousarray(np.asarray(b, dtype=np.uint64).T)
+
+
+def _block_buffers(height: int, rows_b: int, acc_dtype: np.dtype):
+    """XOR, popcount and accumulator buffers for blocks of ``height`` rows."""
+    return (np.empty((height, rows_b), dtype=np.uint64),
+            np.empty((height, rows_b), dtype=np.uint8),
+            np.empty((height, rows_b), dtype=acc_dtype))
+
+
+def _hamming_block(a: np.ndarray, bt: np.ndarray, out: np.ndarray,
                    start: int, stop: int, acc_dtype: np.dtype,
-                   xor_buffer: np.ndarray | None = None) -> None:
-    """Fill ``out[start:stop]`` with distances of ``a[start:stop]`` vs ``b``."""
+                   buffers=None) -> None:
+    """Fill ``out[start:stop]`` with distances of ``a[start:stop]`` vs ``b``.
+
+    ``bt`` is ``b`` in word-major order (:func:`word_major`); ``buffers``
+    (from :func:`_block_buffers`, at least ``stop - start`` rows tall) are
+    reused across calls when given.
+    """
     height = stop - start
-    rows_b = b.shape[0]
-    if xor_buffer is None:
-        xor_buffer = np.empty((height, rows_b), dtype=np.uint64)
-    block = xor_buffer[:height]
-    acc = np.zeros((height, rows_b), dtype=acc_dtype)
+    if buffers is None:
+        buffers = _block_buffers(height, bt.shape[1], acc_dtype)
+    xor, count, acc = (buffer[:height] for buffer in buffers)
+    acc.fill(0)
     for word in range(a.shape[1]):
-        np.bitwise_xor(a[start:stop, word, None], b[None, :, word], out=block)
+        np.bitwise_xor(a[start:stop, word, None], bt[word], out=xor)
         if HAVE_BITWISE_COUNT:
-            acc += np.bitwise_count(block)
+            np.bitwise_count(xor, out=count)
         else:
-            acc += popcount_lut(block).astype(acc_dtype, copy=False)
+            POPCOUNT_LUT[xor.view(np.uint8)].reshape(xor.shape + (WORD_BYTES,)).sum(
+                axis=-1, dtype=np.uint8, out=count)
+        np.add(acc, count, out=acc)
     out[start:stop] = acc
+
+
+def hamming_rows(a: np.ndarray, bt: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with every block of ``a`` vs word-major ``bt``, serially.
+
+    One set of block buffers serves every block.  This is the serial
+    kernel's loop; the execution plane's process workers run it on their
+    own span of ``a``.
+    """
+    rows_b = bt.shape[1]
+    acc_dtype = _accumulator_dtype(a.shape[1])
+    buffers = _block_buffers(min(kernel_block_rows(rows_b), a.shape[0]),
+                             rows_b, acc_dtype)
+    for start, stop in kernel_spans(a.shape[0], rows_b):
+        _hamming_block(a, bt, out, start, stop, acc_dtype, buffers)
 
 
 def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
@@ -304,8 +357,9 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
         same block body over disjoint output rows, so serial, threaded
         and process results are identical bytes).
 
-    The kernel iterates over the (few) words and blocks over ``rows_a`` so
-    the XOR temporary stays cache-resident; distances accumulate in the
+    The kernel transposes ``b`` once to word-major order, iterates over
+    the (few) words and blocks over ``rows_a`` by element count, so the
+    reused block buffers stay cache-resident; distances accumulate in the
     narrowest dtype that cannot overflow.
     """
     a = np.ascontiguousarray(a_packed, dtype=np.uint64)
@@ -325,21 +379,17 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
         executor = os.environ.get(EXECUTOR_ENV, "").strip() or None
     if executor is not None:
         return _plane_executor(executor).hamming_blocked(a, b)
-    acc_dtype = _accumulator_dtype(word_count)
     workers = resolve_num_threads(num_threads)
-
-    spans = [(start, min(start + KERNEL_BLOCK_ROWS, rows_a))
-             for start in range(0, rows_a, KERNEL_BLOCK_ROWS)]
+    bt = word_major(b)
+    spans = kernel_spans(rows_a, rows_b)
     if workers > 1 and len(spans) > 1:
-        executor = _get_executor(workers)
-        futures = [executor.submit(_hamming_block, a, b, out, start, stop,
-                                   acc_dtype)
+        acc_dtype = _accumulator_dtype(word_count)
+        pool = _get_executor(workers)
+        futures = [pool.submit(_hamming_block, a, bt, out, start, stop,
+                               acc_dtype)
                    for start, stop in spans]
         for future in futures:
             future.result()
         return out
-
-    xor_buffer = np.empty((min(KERNEL_BLOCK_ROWS, rows_a), rows_b), dtype=np.uint64)
-    for start, stop in spans:
-        _hamming_block(a, b, out, start, stop, acc_dtype, xor_buffer)
+    hamming_rows(a, bt, out)
     return out

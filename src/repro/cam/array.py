@@ -445,9 +445,12 @@ class CamArray:
         """Shared body of the batch search paths (validated packed input)."""
         mismatches, energy, latency = self._mismatch_core(packed_queries)
         num_queries = packed_queries.shape[0]
-        distances = np.full((num_queries, self.rows), -1, dtype=np.int64)
-
         populated = self._populated
+        if populated.all():
+            # Full array: the same flat read-out order without the masking.
+            sensed = self.sense_amp.estimate_distances(mismatches.reshape(-1))
+            return sensed.reshape(num_queries, self.rows), energy, latency
+        distances = np.full((num_queries, self.rows), -1, dtype=np.int64)
         if populated.any():
             flat_counts = mismatches[:, populated].reshape(-1)
             sensed = self.sense_amp.estimate_distances(flat_counts)

@@ -184,9 +184,18 @@ class ClockedSelfReferencedSenseAmp:
 
         Unlike :meth:`read_many` this never materialises per-row
         :class:`SenseAmpReading` objects, so it is the hot path the CAM
-        array uses for every search.
+        array uses for every search.  A noise-free read-out is a fixed map
+        of the count, so a batch of at least ``word_bits + 1`` counts is
+        evaluated once on the possible counts and gathered.  Smaller
+        batches, and every noisy read-out, are measured element by element;
+        a noisy one draws its noise exactly as :meth:`read_many` does.
         """
-        return self._measure(true_distances)[2]
+        counts = np.asarray(true_distances, dtype=np.int64).ravel()
+        if self.timing_noise_sigma_ps > 0.0 or counts.size <= self.word_bits:
+            return self._measure(counts)[2]
+        if counts.min() < 0 or counts.max() > self.word_bits:
+            raise ValueError("hamming distance must be in [0, word_bits]")
+        return self._measure(np.arange(self.word_bits + 1))[2][counts]
 
     # -- characterisation ------------------------------------------------------------
 

@@ -33,7 +33,7 @@ from repro.core.config import DeepCAMConfig
 from repro.core.context import ContextGenerator, LayerContext
 from repro.core.bitops import packed_hamming_matrix
 from repro.core.minifloat import MINIFLOAT8
-from repro.hw.cosine_unit import CosineUnit
+from repro.hw.cosine_unit import CosineUnit, digitise
 from repro.nn import functional as F
 from repro.nn.layers import (
     AvgPool2d,
@@ -203,8 +203,7 @@ class DeepCAMSimulator:
             self.stats.cam_fills += fills
             self.stats.cam_searches += fills * weight_contexts.count
 
-        thetas = np.pi * distances / hash_length
-        cosines = np.asarray(self.cosine_unit(thetas.ravel())).reshape(thetas.shape)
+        cosines = digitise(self.cosine_unit, distances, hash_length)
         products = np.outer(weight_contexts.norms, activation_contexts.norms) * cosines
 
         self.stats.dot_product_layers += 1

@@ -13,11 +13,12 @@ from repro.bitops import (
     EXECUTOR_ENV,
     HAVE_BITWISE_COUNT,
     INT16_SAFE_MAX_BITS,
-    KERNEL_BLOCK_ROWS,
+    KERNEL_BLOCK_ELEMENTS,
     NUM_THREADS_ENV,
     POPCOUNT_LUT,
     WORD_BITS,
     WORD_BYTES,
+    kernel_block_rows,
     pack_bits,
     packed_hamming_matrix,
     packed_hamming_vector,
@@ -32,11 +33,12 @@ __all__ = [
     "EXECUTOR_ENV",
     "HAVE_BITWISE_COUNT",
     "INT16_SAFE_MAX_BITS",
-    "KERNEL_BLOCK_ROWS",
+    "KERNEL_BLOCK_ELEMENTS",
     "NUM_THREADS_ENV",
     "POPCOUNT_LUT",
     "WORD_BITS",
     "WORD_BYTES",
+    "kernel_block_rows",
     "pack_bits",
     "packed_hamming_matrix",
     "packed_hamming_vector",

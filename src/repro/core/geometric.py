@@ -35,7 +35,7 @@ from repro.core.hashing import (
     hamming_distance_matrix,
 )
 from repro.core.minifloat import Minifloat
-from repro.hw.cosine_unit import CosineUnit
+from repro.hw.cosine_unit import CosineUnit, digitise
 
 
 def algebraic_dot(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
@@ -203,8 +203,7 @@ class ApproximateDotProduct:
         bits_stat = self.hasher.hash_batch(stat)
         bits_srch = self.hasher.hash_batch(srch)
         distances = hamming_distance_matrix(bits_stat, bits_srch)
-        thetas = np.pi * distances / self.hash_length
-        cosines = np.asarray(self.cosine_unit(thetas.ravel())).reshape(thetas.shape)
+        cosines = digitise(self.cosine_unit, distances, self.hash_length)
 
         norms_stat = np.linalg.norm(stat, axis=1)
         norms_srch = np.linalg.norm(srch, axis=1)

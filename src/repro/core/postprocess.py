@@ -30,7 +30,7 @@ from repro.core.minifloat import MINIFLOAT8, Minifloat
 from repro.crossbar.crossbar import CrossbarConfig, HashingCrossbar
 from repro.hw.adder_tree import AdderTree
 from repro.hw.components import CostLibrary, DEFAULT_COST_LIBRARY
-from repro.hw.cosine_unit import CosineUnit
+from repro.hw.cosine_unit import CosineUnit, digitise
 from repro.hw.sqrt import DigitalSquareRoot
 
 
@@ -80,7 +80,8 @@ class PostProcessor:
         query_norms:
             ``(queries,)`` norms of the broadcast contexts.
         """
-        distances = np.asarray(hamming_distances, dtype=np.float64)
+        raw = np.asarray(hamming_distances)
+        distances = raw.astype(np.float64, copy=False)
         if distances.ndim != 2:
             raise ValueError("hamming_distances must be a 2-D matrix")
         if np.any(distances < 0) or np.any(distances > self.hash_length):
@@ -90,8 +91,14 @@ class PostProcessor:
         if s_norms.size != distances.shape[0] or q_norms.size != distances.shape[1]:
             raise ValueError("norm vectors must match the distance matrix shape")
 
-        thetas = np.pi * distances / self.hash_length
-        cosines = np.asarray(self.cosine_unit(thetas.ravel())).reshape(thetas.shape)
+        if np.issubdtype(raw.dtype, np.integer):
+            cosines = digitise(self.cosine_unit, raw, self.hash_length)
+        else:
+            # Fractional distances (e.g. averaged over repeated noisy reads)
+            # fall between the points of the digitise table, so float input
+            # keeps the elementwise evaluation.
+            thetas = np.pi * distances / self.hash_length
+            cosines = np.asarray(self.cosine_unit(thetas.ravel())).reshape(thetas.shape)
         products = np.outer(s_norms, q_norms) * cosines
 
         count = distances.size

@@ -42,6 +42,5 @@ class InlineExecutor(Executor):
         out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
         if out.size == 0:
             return out
-        for start, stop in tasks.kernel_spans(a.shape[0]):
-            tasks.fill_block(a, b, out, start, stop)
+        tasks.fill_span(a, b, out)
         return out

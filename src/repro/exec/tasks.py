@@ -11,15 +11,17 @@ the task bodies are exercised (and coverage-measured) without a pool.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.bitops import (
-    KERNEL_BLOCK_ROWS,
     _accumulator_dtype,
     _hamming_block,
+    hamming_rows,
+    kernel_spans,
     packed_hamming_matrix,
+    word_major,
 )
 
 #: A row selector: a contiguous ``(start, stop)`` span or an explicit
@@ -73,22 +75,16 @@ def count_rows(storage: np.ndarray, selector: Selector,
     return packed_hamming_matrix(queries, rows, num_threads=1)
 
 
-def kernel_spans(rows_a: int,
-                 block_rows: int = KERNEL_BLOCK_ROWS) -> List[Tuple[int, int]]:
-    """The cache-sized row blocks of the pairwise kernel, as spans."""
-    return [(start, min(start + block_rows, rows_a))
-            for start in range(0, rows_a, block_rows)]
-
-
-def fill_block(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+def fill_block(a: np.ndarray, bt: np.ndarray, out: np.ndarray,
                start: int, stop: int) -> None:
     """One kernel block: ``out[start:stop] = hamming(a[start:stop], b)``.
 
-    Delegates to the serial kernel's own block body
-    (:func:`repro.bitops._hamming_block`), so every engine computes the
-    exact bytes the unthreaded kernel would.
+    ``bt`` is ``b`` in word-major order (:func:`repro.bitops.word_major`,
+    transposed once per call by the engine).  Delegates to the serial
+    kernel's own block body (:func:`repro.bitops._hamming_block`), so every
+    engine computes the exact bytes the unthreaded kernel would.
     """
-    _hamming_block(a, b, out, start, stop, _accumulator_dtype(a.shape[1]))
+    _hamming_block(a, bt, out, start, stop, _accumulator_dtype(a.shape[1]))
 
 
 def fill_span(a_block: np.ndarray, b: np.ndarray,
@@ -96,13 +92,11 @@ def fill_span(a_block: np.ndarray, b: np.ndarray,
     """Fill a whole output span, chunked into cache-sized kernel blocks.
 
     Process workers receive one contiguous span per worker (to bound the
-    per-task pickle count); this walks it in :data:`KERNEL_BLOCK_ROWS`
-    steps so the XOR temporary stays cache-resident exactly as in the
-    serial kernel.
+    per-task pickle count); this transposes ``b`` once and walks the span
+    with the serial kernel's loop (:func:`repro.bitops.hamming_rows`), so
+    the block buffers stay cache-resident exactly as in the serial kernel.
     """
-    acc_dtype = _accumulator_dtype(a_block.shape[1])
-    for start, stop in kernel_spans(a_block.shape[0]):
-        _hamming_block(a_block, b, out_span, start, stop, acc_dtype)
+    hamming_rows(a_block, word_major(b), out_span)
 
 
 def gather_counts(blocks: Sequence[np.ndarray]) -> np.ndarray:

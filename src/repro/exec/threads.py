@@ -63,8 +63,9 @@ class ThreadExecutor(Executor):
         out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
         if out.size == 0:
             return out
-        spans = tasks.kernel_spans(a.shape[0])
-        self._map(lambda span: tasks.fill_block(a, b, out, *span), spans)
+        bt = tasks.word_major(b)
+        spans = tasks.kernel_spans(a.shape[0], b.shape[0])
+        self._map(lambda span: tasks.fill_block(a, bt, out, *span), spans)
         return out
 
     def run_tasks(self, fns: Sequence[Callable[[], Any]]) -> List[Any]:

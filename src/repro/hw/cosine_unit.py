@@ -15,14 +15,15 @@ with a three-segment piecewise-linear function:
 The third case folds the obtuse range back onto the acute range by symmetry,
 so the hardware only ever evaluates one multiply and one add.  This module
 provides a vectorised functional model, an exact-cosine reference for error
-analysis, and the digital cost of the unit.
+analysis, the digital cost of the unit, and :func:`digitise`, the table
+read-out every CAM pipeline uses to turn Hamming counts into cosines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -127,3 +128,30 @@ class CosineUnit:
             latency_cycles=float(iterations),
             leakage_uw=adder.leakage_uw * 3,
         )
+
+
+def digitise(cosine_unit: Callable[[np.ndarray], np.ndarray],
+             counts: np.ndarray, k: int) -> np.ndarray:
+    """Cosines of integer Hamming ``counts`` out of ``k`` bits (Eqs. 4-5).
+
+    A count ``h`` maps to the angle ``pi * h / k`` and then to its cosine,
+    a fixed map for a given ``k``.  So ``cosine_unit`` -- any callable on
+    an angle array, a :class:`CosineUnit` or a wrapper around one -- is
+    called once on the ``k + 1`` grid angles and the result is gathered by
+    count.  A batch with fewer counts than the grid has points is cheaper
+    to evaluate directly, so it is (still in one call).  Either
+    way the output is bit-identical to ``cosine_unit(np.pi * counts / k)``.
+
+    Raises ``ValueError`` when a count lies outside ``[0, k]``: the gather
+    would otherwise wrap a ``-1`` silently.
+    """
+    counts = np.asarray(counts)
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise TypeError("digitise needs integer hamming counts")
+    if counts.size and (counts.min() < 0 or counts.max() > k):
+        raise ValueError(f"hamming counts must lie in [0, {k}]")
+    if counts.size <= k:
+        angles = np.pi * counts / k
+        return np.asarray(cosine_unit(angles.ravel())).reshape(counts.shape)
+    table = np.asarray(cosine_unit(np.pi * np.arange(k + 1) / k))
+    return table[counts]

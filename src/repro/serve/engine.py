@@ -34,7 +34,7 @@ from repro.cam.sense_amplifier import ClockedSelfReferencedSenseAmp
 from repro.cam.topk import TopKResult, encode_topk_rows, validate_k
 from repro.core.hashing import RandomProjectionHasher
 from repro.core.minifloat import Minifloat
-from repro.hw.cosine_unit import CosineUnit
+from repro.hw.cosine_unit import CosineUnit, digitise
 
 
 #: Process-unique tokens for engines whose outputs have no content identity.
@@ -181,11 +181,12 @@ class CamPipelineEngine:
         # through one shared PackedSignatureCache.  A sharded engine built
         # over the same prototypes computes bit-identical logits, so it
         # deliberately shares this namespace with its unsharded twin.
-        self._cache_namespace = hashlib.blake2b(
-            protos.tobytes()
-            + f"|{self.hash_length}|{seed}|{use_exact_cosine}"
-              f"|{quantize_norms!r}".encode(),
-            digest_size=8).digest()
+        # Streamed from the array's own buffer: the same digest as hashing
+        # ``protos.tobytes() + suffix``, without two copies of the matrix.
+        namespace = hashlib.blake2b(np.ascontiguousarray(protos), digest_size=8)
+        namespace.update(f"|{self.hash_length}|{seed}|{use_exact_cosine}"
+                         f"|{quantize_norms!r}".encode())
+        self._cache_namespace = namespace.digest()
 
     def _build_cam_port(self, cam_rows: int) -> Any:
         """Build the search port the engine executes against.
@@ -233,8 +234,7 @@ class CamPipelineEngine:
         if prepared.size == 0:
             return np.empty((0, self.classes), dtype=np.float64)
         counts = self._search_counts(prepared)
-        thetas = np.pi * counts / self.hash_length
-        cosines = np.asarray(self.cosine_unit(thetas.ravel())).reshape(thetas.shape)
+        cosines = digitise(self.cosine_unit, counts, self.hash_length)
         return (prepared.norms[:, None]
                 * self._prototype_norms[None, :]
                 * cosines)

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.cam.topk import validate_k
 from repro.obs import TracingObserver, default_tracer, use_span
+from repro.serve import blas
 from repro.serve.batching import (
     QueueFullError,
     ServeConfig,
@@ -167,6 +168,8 @@ class MicroBatchServer:
         bind = getattr(self.engine, "bind_observers", None)
         if callable(bind):
             bind(self._observers)
+        # Single-threaded BLAS while serving: see repro.serve.blas.
+        blas.pin_single_thread()
         for worker in self._workers:
             worker.start()
         notify_all(self._observers, "server_started", self.config)
@@ -198,6 +201,7 @@ class MicroBatchServer:
         for worker in self._workers:
             worker.join()
         self._workers = []
+        blas.release()
         self._flush_queue(RuntimeError("server stopped before serving"))
         self._abort = False
         unbind = getattr(self.engine, "unbind_observers", None)
@@ -717,6 +721,7 @@ class MicroBatchServer:
         if callable(engine_stats):
             snapshot["engine"] = engine_stats()
         snapshot["engine_name"] = getattr(self.engine, "name", "unknown")
+        snapshot["blas_threads"] = blas.thread_count()
         if self._tracer is not None:
             snapshot["obs"] = self._tracer.snapshot()
         if self.tenancy is not None:

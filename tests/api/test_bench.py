@@ -121,15 +121,17 @@ class TestSuites:
         assert json.loads((tmp_path / "BENCH_serve.json").read_text()) == document
 
     def test_threaded_records_skip_single_block_cells(self):
-        from repro.core.bitops import KERNEL_BLOCK_ROWS
+        from repro.core.bitops import kernel_block_rows
+        # 64 x 64 is one kernel block; 1024 x 1024 is several.
+        assert kernel_block_rows(64) >= 64 and kernel_block_rows(1024) < 1024
         records, summary = kernel_microbench(
-            grid=((64, 32), (KERNEL_BLOCK_ROWS * 2, 32)), rounds=1,
+            grid=((64, 32), (1024, 32)), rounds=1,
             thread_counts=(2,))
         threaded = [record.name for record in records
                     if "packed_popcount_threads" in record.name]
         # Only the multi-block cell engages threading; the single-block
         # cell must not report a bogus ~1.0x "threaded" null result.
         assert threaded == [
-            f"kernel/packed_popcount_threads=2/rows={KERNEL_BLOCK_ROWS * 2},k=32"]
+            "kernel/packed_popcount_threads=2/rows=1024,k=32"]
         assert list(summary["threaded_speedups"]) == [
-            f"rows={KERNEL_BLOCK_ROWS * 2},k=32"]
+            "rows=1024,k=32"]

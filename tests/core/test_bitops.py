@@ -115,7 +115,8 @@ class TestPackedHammingMatrix:
         assert np.array_equal(result, naive_hamming(bits_a, bits_b))
 
     def test_crosses_the_row_block_boundary(self, rng, monkeypatch):
-        monkeypatch.setattr(bitops_impl, "KERNEL_BLOCK_ROWS", 8)
+        # 19 rows of b at this budget make 8-row blocks.
+        monkeypatch.setattr(bitops_impl, "KERNEL_BLOCK_ELEMENTS", 8 * 19)
         bits_a = rng.integers(0, 2, size=(37, 130), dtype=np.uint8)
         bits_b = rng.integers(0, 2, size=(19, 130), dtype=np.uint8)
         result = packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b))
