@@ -5,7 +5,7 @@ runs two suites and writes one machine-readable JSON file per suite at the
 repository root:
 
 * ``BENCH_kernels.json`` -- microbenchmarks of the Hamming kernels: the
-  packed XOR+popcount kernel (:func:`repro.core.bitops.packed_hamming_matrix`)
+  packed XOR+popcount kernel (:func:`repro.bitops.packed_hamming_matrix`)
   versus the legacy +-1 GEMM path
   (:func:`repro.core.hashing.hamming_distance_matrix_unpacked`) across a
   rows x hash-length grid, plus the packing cost itself.
@@ -36,7 +36,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.bitops import (
+from repro.bitops import (
     HAVE_BITWISE_COUNT,
     kernel_block_rows,
     pack_bits,
@@ -288,14 +288,14 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
     and the packing cost is reported as its own record).  The two kernels
     are asserted bit-identical on every cell before timing.
 
-    ``thread_counts`` additionally times the row-block-threaded kernel
-    (``packed_hamming_matrix(..., num_threads=n)``, the ``REPRO_NUM_THREADS``
-    lever) at each requested worker count, on the cells that span more than
-    one row block (threading never engages on a single block); ``None``
-    picks one count from the machine (up to 4 workers).  Threaded results
-    are asserted identical to the serial kernel and their speedup *over the
-    serial packed kernel* is reported per cell -- expect ~1x on single-core
-    boxes.
+    ``thread_counts`` additionally times the kernel on the execution
+    plane's thread engine (``ThreadExecutor(n).hamming_blocked``, the
+    ``executor="threads"`` path) at each requested worker count, on the
+    cells that span more than one row block (threading never engages on a
+    single block); ``None`` picks one count from the machine (up to 4
+    workers).  Threaded results are asserted identical to the serial kernel
+    and their speedup *over the serial packed kernel* is reported per cell
+    -- expect ~1x on single-core boxes.
 
     The execution-plane scaling curve rides along: the acceptance workload
     also runs through the process engine at each of
@@ -312,6 +312,8 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
         verdict for the 2048 x 2048, k=128 workload, the per-cell
         ``threaded_speedups`` and the process-engine ``worker_scaling``.
     """
+    from repro.exec import ThreadExecutor
+
     if thread_counts is None:
         thread_counts = (max(2, min(4, os.cpu_count() or 1)),)
     rng = np.random.default_rng(seed)
@@ -353,19 +355,20 @@ def kernel_microbench(grid: Sequence[tuple[int, int]] = DEFAULT_KERNEL_GRID,
         # fallback as "threaded" would misreport ~1.0x as a null result.
         cell_thread_counts = thread_counts if rows > kernel_block_rows(rows) else ()
         for workers in cell_thread_counts:
-            threaded_result = packed_hamming_matrix(packed_a, packed_b,
-                                                    num_threads=workers)
-            if not np.array_equal(packed_result, threaded_result):
-                raise AssertionError(
-                    f"threaded kernel ({workers} threads) diverged from "
-                    f"serial at rows={rows}, k={k}"
-                )
-            threaded_record = benchmark_callable(
-                f"kernel/packed_popcount_threads={workers}/{cell}", "kernel",
-                {**params, "num_threads": workers},
-                lambda a=packed_a, b=packed_b, w=workers:
-                    packed_hamming_matrix(a, b, num_threads=w),
-                rounds=rounds)
+            with ThreadExecutor(workers) as engine:
+                threaded_result = engine.hamming_blocked(packed_a, packed_b)
+                if not np.array_equal(packed_result, threaded_result):
+                    raise AssertionError(
+                        f"threaded kernel ({workers} threads) diverged from "
+                        f"serial at rows={rows}, k={k}"
+                    )
+                threaded_record = benchmark_callable(
+                    f"kernel/packed_popcount_threads={workers}/{cell}",
+                    "kernel",
+                    {**params, "executor": "threads", "workers": workers},
+                    lambda a=packed_a, b=packed_b, e=engine:
+                        e.hamming_blocked(a, b),
+                    rounds=rounds)
             records.append(threaded_record)
             threaded_speedups.setdefault(cell, {})[f"threads={workers}"] = (
                 packed_record.median_s / max(threaded_record.median_s, 1e-12))

@@ -7,7 +7,7 @@ and optional metadata extraction -- under a registry key.  The
 parameters, notifies observers (start, per-row, completion, failure) and
 returns a typed :class:`~repro.api.results.ExperimentResult`.
 
-Every ``run_fig*``/``run_table*`` function of
+Every paper experiment implemented in
 :mod:`repro.evaluation.experiments` is registered as a spec in
 :mod:`repro.api.specs`; custom experiments register the same way::
 

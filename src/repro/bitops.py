@@ -29,18 +29,22 @@ so the block's XOR, popcount and accumulator buffers stay cache-resident
 whatever ``rows_b`` is) and reuses those preallocated buffers, via
 ``out=``, for every word of every block.
 
+Parallel execution is not this module's job: :func:`packed_hamming_matrix`
+is serial unless an execution-plane engine is named (``executor=`` or
+``REPRO_EXECUTOR``), and then the engine's ``hamming_blocked`` runs the
+same block body (:func:`hamming_rows` / :func:`_hamming_block`) on its
+workers.
+
 This module is deliberately a *leaf*: it depends on NumPy only.  Both
 ``repro.core`` (hashing, simulator) and ``repro.cam`` (array storage and
 search) build on these kernels, so the implementation must not import
-either package; the canonical public path is :mod:`repro.core.bitops`,
-which re-exports everything defined here.
+either package; it is the one public path of the kernels.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -68,20 +72,12 @@ INT16_SAFE_MAX_BITS: int = int(np.iinfo(np.int16).max)
 #: popcount and accumulator buffers fit a typical per-core L2 cache.
 KERNEL_BLOCK_ELEMENTS: int = 32 * 1024
 
-#: Environment variable enabling multi-threaded row-block execution of
-#: :func:`packed_hamming_matrix`.  Unset or "1" keeps the kernel serial;
-#: "0" means one thread per CPU.
-NUM_THREADS_ENV: str = "REPRO_NUM_THREADS"
-
 #: Environment variable selecting the execution-plane engine
 #: (``inline`` / ``threads`` / ``processes``).  Defined here -- the leaf
 #: module -- so :mod:`repro.exec` can import it without a cycle; when it
-#: is set and the caller did not pin ``num_threads``, the pairwise kernel
-#: routes through :mod:`repro.exec` instead of the legacy thread pool.
+#: is set and the caller names no engine, the pairwise kernel routes
+#: through :mod:`repro.exec` instead of running serially.
 EXECUTOR_ENV: str = "REPRO_EXECUTOR"
-
-_EXECUTOR_LOCK = threading.Lock()
-_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
 
 _PLANE_LOCK = threading.Lock()
 _PLANE_EXECUTORS: dict = {}
@@ -107,46 +103,6 @@ def _plane_executor(spec):
             engine = exec_plane.resolve_executor(name)
             _PLANE_EXECUTORS[name] = engine
         return engine
-
-
-def resolve_num_threads(num_threads: int | None = None) -> int:
-    """Worker count for the threaded kernel path.
-
-    ``None`` reads :data:`NUM_THREADS_ENV` (defaulting to 1, i.e. serial);
-    ``0`` -- explicit or via the environment -- means one thread per CPU.
-    """
-    if num_threads is None:
-        raw = os.environ.get(NUM_THREADS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            num_threads = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{NUM_THREADS_ENV} must be an integer, got {raw!r}") from None
-    num_threads = int(num_threads)
-    if num_threads < 0:
-        raise ValueError("num_threads must be non-negative")
-    if num_threads == 0:
-        return max(1, os.cpu_count() or 1)
-    return num_threads
-
-
-def _get_executor(workers: int) -> ThreadPoolExecutor:
-    """Shared kernel thread pool for ``workers``, one pool per size.
-
-    Pools are kept per worker count and never shut down: a shutdown on
-    resize could race a concurrent caller that already holds the old pool
-    (its ``submit`` would raise), and the handful of distinct sizes a
-    process uses keeps the cache tiny.
-    """
-    with _EXECUTOR_LOCK:
-        executor = _EXECUTORS.get(workers)
-        if executor is None:
-            executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-hamming")
-            _EXECUTORS[workers] = executor
-        return executor
 
 
 def words_for_bits(bit_length: int) -> int:
@@ -319,7 +275,6 @@ def hamming_rows(a: np.ndarray, bt: np.ndarray, out: np.ndarray) -> None:
 
 
 def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
-                          num_threads: int | None = None,
                           executor=None) -> np.ndarray:
     """Pairwise Hamming distances between two packed signature sets.
 
@@ -329,33 +284,24 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
         ``(rows_a, words)`` packed signatures.
     b_packed:
         ``(rows_b, words)`` packed signatures.
-    num_threads:
-        Row-block parallelism of the legacy threaded path.  ``None``
-        (default) defers to the ``REPRO_NUM_THREADS`` environment
-        variable, keeping the kernel serial when that is unset; ``0``
-        means one thread per CPU.  The threaded path splits ``rows_a``
-        into the same cache-sized blocks the serial path uses and runs
-        them on a shared thread pool -- the XOR and popcount ufuncs
-        release the GIL on blocks this large, so the blocks genuinely
-        overlap on multi-core machines.
     executor:
         Execution-plane engine: an engine name (``"inline"``,
         ``"threads"``, ``"processes"``) or an :class:`repro.exec.Executor`
-        instance.  When given, the row blocks run on that engine and
-        ``num_threads`` is ignored.  When ``None`` and ``num_threads`` is
-        also ``None``, the ``REPRO_EXECUTOR`` environment variable (if
-        set) selects the engine; an explicit ``num_threads`` pins the
-        legacy path, which is also what keeps process workers -- which
-        inherit the environment across ``fork`` -- from re-entering the
-        plane recursively.
+        instance.  When given, the row blocks run on that engine.  When
+        ``None``, the ``REPRO_EXECUTOR`` environment variable (if set)
+        selects the engine, and the kernel runs serially when that is
+        unset too.  The plane's own tasks call the serial loop
+        (:func:`hamming_rows`) directly, which is what keeps process
+        workers -- which inherit the environment across ``fork`` -- from
+        re-entering the plane recursively.
 
     Returns
     -------
     np.ndarray
         ``(rows_a, rows_b)`` ``int64`` distance matrix, bit-exact against
         the naive XOR-sum over the unpacked bits (all engines run the
-        same block body over disjoint output rows, so serial, threaded
-        and process results are identical bytes).
+        same block body over disjoint output rows, so serial, thread and
+        process results are identical bytes).
 
     The kernel transposes ``b`` once to word-major order, iterates over
     the (few) words and blocks over ``rows_a`` by element count, so the
@@ -370,26 +316,12 @@ def packed_hamming_matrix(a_packed: np.ndarray, b_packed: np.ndarray,
         raise ValueError(
             f"operands disagree on word count: {a.shape[1]} vs {b.shape[1]}"
         )
-    rows_a, word_count = a.shape
-    rows_b = b.shape[0]
-    out = np.empty((rows_a, rows_b), dtype=np.int64)
-    if rows_a == 0 or rows_b == 0:
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
+    if out.size == 0:
         return out
-    if executor is None and num_threads is None:
+    if executor is None:
         executor = os.environ.get(EXECUTOR_ENV, "").strip() or None
     if executor is not None:
         return _plane_executor(executor).hamming_blocked(a, b)
-    workers = resolve_num_threads(num_threads)
-    bt = word_major(b)
-    spans = kernel_spans(rows_a, rows_b)
-    if workers > 1 and len(spans) > 1:
-        acc_dtype = _accumulator_dtype(word_count)
-        pool = _get_executor(workers)
-        futures = [pool.submit(_hamming_block, a, bt, out, start, stop,
-                               acc_dtype)
-                   for start, stop in spans]
-        for future in futures:
-            future.result()
-        return out
-    hamming_rows(a, bt, out)
+    hamming_rows(a, word_major(b), out)
     return out

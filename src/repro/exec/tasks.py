@@ -20,7 +20,6 @@ from repro.bitops import (
     _hamming_block,
     hamming_rows,
     kernel_spans,
-    packed_hamming_matrix,
     word_major,
 )
 
@@ -69,10 +68,14 @@ def count_rows(storage: np.ndarray, selector: Selector,
     concatenation.
     """
     rows = select_storage_rows(storage, selector)
-    # num_threads pinned: parallelism belongs to the engine running this
-    # task, and process workers inherit REPRO_EXECUTOR across fork -- an
-    # unpinned call would re-enter the plane recursively.
-    return packed_hamming_matrix(queries, rows, num_threads=1)
+    # The serial loop, never packed_hamming_matrix: parallelism belongs
+    # to the engine running this task, and process workers inherit
+    # REPRO_EXECUTOR across fork -- the public kernel would re-enter the
+    # plane recursively.
+    out = np.empty((queries.shape[0], rows.shape[0]), dtype=np.int64)
+    hamming_rows(np.ascontiguousarray(queries, dtype=np.uint64),
+                 word_major(rows), out)
+    return out
 
 
 def fill_block(a: np.ndarray, bt: np.ndarray, out: np.ndarray,

@@ -34,13 +34,10 @@ from __future__ import annotations
 
 import random
 import threading
-import time
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cam.topk import select_topk
 from repro.net import protocol
 from repro.net.transport import (
     HttpTransport,
@@ -49,8 +46,7 @@ from repro.net.transport import (
     Transport,
     TransportError,
 )
-from repro.obs import current_span, inject_headers, scoped_task
-from repro.serve.metrics import notify_all
+from repro.obs import inject_headers
 from repro.shard.engine import ShardedEngine
 from repro.shard.pipeline import ShardedCamPipeline
 from repro.shard.plan import ShardSpec
@@ -238,7 +234,10 @@ class RemoteCamCluster(ShardedCamPipeline):
     supported remotely (the endpoint set is the geometry).
 
     All other parameters match :class:`ShardedCamPipeline`; fan-out is
-    always ``"ports"`` (there is no fused storage across machines).
+    always ``"ports"`` (there is no fused storage across machines).  The
+    base fan-out runs unchanged: only its per-port seam (``_call_port``,
+    here the failover loop) and the local top-k (``_port_topk``, here the
+    server-side selection) are overridden.
     """
 
     def __init__(self, endpoints: Sequence[Sequence[str]], total_rows: int,
@@ -291,19 +290,10 @@ class RemoteCamCluster(ShardedCamPipeline):
             transport_factory=self._transport_factory,
             use_frames=self._use_frames)
 
-    def _build_ports(self, plan: Any) -> List[List[Any]]:
-        """One transport per (shard, replica), loaded over the wire."""
-        ports: List[List[Any]] = []
-        for spec in plan.shards:
-            block = self._bits[spec.global_rows]
-            block_populated = self._populated[spec.global_rows]
-            replicas = []
-            for base_url in self._endpoints[spec.index]:
-                port = self._make_port(base_url, spec)
-                self._load_port(port, block, block_populated)
-                replicas.append(port)
-            ports.append(replicas)
-        return ports
+    def _new_port(self, spec: ShardSpec,
+                  replica: int) -> RemoteShardTransport:
+        """The transport for one slot of the endpoint grid."""
+        return self._make_port(self._endpoints[spec.index][replica], spec)
 
     def add_shard(self) -> Any:
         raise NotImplementedError(
@@ -398,72 +388,15 @@ class RemoteCamCluster(ShardedCamPipeline):
                 pass
             return True
 
-    # -- fan-out overrides -------------------------------------------------------
+    # -- the per-port seam -----------------------------------------------------
 
-    def _search_ports(self, packed: np.ndarray, plan: Any,
-                      ports: List[List[Any]],
-                      locks: List[List[threading.Lock]],
-                      plane: Any,
-                      selection: Tuple[int, ...]
-                      ) -> Tuple[np.ndarray, float, int]:
-        """The base per-port fan-out, each shard call behind the failover."""
-        num_queries = packed.shape[0]
+    #: Every per-shard call of the base fan-out runs behind the failover.
+    _call_port = _failover_call
 
-        def _search_one(shard: int) -> Tuple[np.ndarray, float, int]:
-            started = time.perf_counter()
-            (counts, energy, latency), replica = self._failover_call(
-                shard, ports, locks, selection[shard],
-                lambda port: port.mismatch_counts_packed(packed))
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries,
-                           (time.perf_counter() - started) * 1e3)
-            return counts, energy, latency
-
-        ambient = current_span()
-        results = plane.run_tasks(
-            [scoped_task(partial(_search_one, shard), ambient)
-             for shard in range(plan.num_shards)])
-        global_counts = np.empty((num_queries, self.rows), dtype=np.int64)
-        plan.gather_columns([counts for counts, _, _ in results],
-                            global_counts)
-        energy = float(sum(energy for _, energy, _ in results))
-        latency = max(latency for _, _, latency in results)
-        return global_counts, energy, latency
-
-    def _topk_ports(self, packed: np.ndarray, populated: np.ndarray,
-                    plan: Any, ports: List[List[Any]],
-                    locks: List[List[threading.Lock]], plane: Any,
-                    selection: Tuple[int, ...], k: int
-                    ) -> Tuple[np.ndarray, np.ndarray, float, int, int]:
-        """Remote partial gather: server-side local top-k, one exact merge."""
-        num_queries = packed.shape[0]
-
-        def _topk_one(shard: int
-                      ) -> Tuple[np.ndarray, np.ndarray, float, int]:
-            started = time.perf_counter()
-            (indices, raw, energy, latency), replica = self._failover_call(
-                shard, ports, locks, selection[shard],
-                lambda port: port.topk_candidates(packed, k))
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries,
-                           (time.perf_counter() - started) * 1e3)
-            return indices, raw, energy, latency
-
-        ambient = current_span()
-        results = plane.run_tasks(
-            [scoped_task(partial(_topk_one, shard), ambient)
-             for shard in range(plan.num_shards)])
-        candidate_ids = np.concatenate(
-            [indices for indices, _, _, _ in results], axis=1)
-        candidate_raw = np.concatenate(
-            [raw for _, raw, _, _ in results], axis=1)
-        gathered_per_query = int(candidate_ids.shape[1])
-        indices, raw = select_topk(candidate_raw, candidate_ids, k, self.rows)
-        energy = float(sum(energy for _, _, energy, _ in results))
-        latency = max(latency for _, _, _, latency in results)
-        return indices, raw, energy, latency, gathered_per_query
+    def _port_topk(self, port: Any, spec: Any, populated: np.ndarray,
+                   packed: np.ndarray, k: int) -> tuple:
+        """Remote partial gather: the server selects its local top-k."""
+        return port.topk_candidates(packed, k)
 
     # -- health ------------------------------------------------------------------
 

@@ -25,7 +25,11 @@ sum over the selected per-shard searches -- shard occupancies sum to the
 total occupancy, so the total matches the single-array search energy --
 and latency is the maximum over the (parallel) shards.
 
-Two fan-out modes execute that contract:
+Every search runs that contract through one body.  One snapshot helper
+(``_fanout``) takes the structure under the state lock, picks the replicas
+and pins the published storage; one count producer (``_counts``) returns
+the gathered ``(batch, total_rows)`` raw counts with their energy and
+latency.  The count producer is the only place the fan-out mode matters:
 
 * ``"fused"`` (default) -- the simulation observes that the shards search
   *in parallel in O(1)* on real hardware, so simulating them as N separate
@@ -36,10 +40,25 @@ Two fan-out modes execute that contract:
   single :class:`CamArray` already makes (one kernel for all rows instead
   of per-cell circuits), applied one level up -- counts are bit-identical
   to the per-port path because XOR+popcount is row-wise.
-* ``"ports"`` -- hardware-faithful per-port execution: each selected
-  replica's array runs its own kernel and the results are gathered by the
-  plan.  Custom ports (e.g. :class:`~repro.cam.dynamic.DynamicCam`)
-  always use this path.
+* ``"ports"`` under the process engine -- workers run the per-shard
+  kernels against the *published global storage* sliced by each shard's
+  rows (identical words to the port arrays, so counts are bit-identical)
+  while energy/latency accrue parent-side through the ports' analytic
+  surface (``account_packed_search``).
+* ``"ports"`` otherwise -- hardware-faithful per-port execution: each
+  selected replica's array runs its own kernel and the results are
+  gathered by the plan.  Custom ports (e.g.
+  :class:`~repro.cam.dynamic.DynamicCam`) always use this path, and it is
+  the only one a :class:`~repro.net.remote.RemoteCamCluster` can run.
+
+Per-port execution goes through one runner (``_per_port``): it times each
+shard, emits its ``shard_search_completed`` event and reaches the port
+through a single seam, ``_call_port(shard, ports, locks, replica, op)``.
+The remote cluster installs its failover loop there.  Clean top-k on
+per-port execution is the one caller that ships candidate sets instead
+of counts (``_port_topk``: each port's local top-k, then one merge), which
+keeps a remote partial gather off the wire; on fused or shared storage it
+selects once over the gathered counts.
 
 Both modes fan out on the :mod:`repro.exec` execution plane.  The
 ``executor`` argument (or ``REPRO_EXECUTOR``) picks the engine: ``inline``
@@ -47,12 +66,9 @@ runs everything serially, ``threads`` fans shard searches out on a thread
 pool sized by the worker budget (the pre-plane behaviour), and
 ``processes`` reads the cluster's packed storage zero-copy from a
 SharedMemory segment in worker processes -- true parallelism on
-multi-core hosts where the GIL-bound thread pool stalls.  Under the
-process engine the per-shard kernels run against the *published global
-storage* sliced by each shard's rows (identical words to the port
-arrays, so counts are bit-identical) while energy/latency accrue
-parent-side through the ports' analytic surface; ports without that
-surface degrade to in-process execution, never to an error.
+multi-core hosts where the GIL-bound thread pool stalls.  Ports without
+the analytic surface degrade to in-process execution under the process
+engine, never to an error.
 
 ``add_shard()`` / ``rebalance()`` rebuild the plan and the port matrix
 online from the pipeline's own copy of the stored rows; results before and
@@ -68,9 +84,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple, Union)
 
 import numpy as np
 
@@ -143,6 +160,24 @@ FANOUT_MODES = ("fused", "ports")
 #: below this the fan-out overhead dwarfs the kernel and the search runs
 #: as a single span (serial for every engine).
 FUSED_SPAN_MIN_ROWS = 256
+
+
+class _Snapshot(NamedTuple):
+    """One search's view of the cluster, taken under the state lock."""
+
+    plan: ShardPlan
+    ports: List[List[Any]]
+    locks: List[List[threading.Lock]]
+    #: The router's replica choice per shard for this fan-out.
+    selection: Tuple[int, ...]
+    fanout: str
+    plane: Optional[Executor]
+    #: Ports mode with each replica running its own kernel (not the
+    #: process engine's shared-storage counts).
+    per_port: bool
+    #: The fused/shared kernel operand: the acquired handle, else the array.
+    storage: Union[np.ndarray, StorageHandle]
+    populated: np.ndarray
 
 
 def validate_row_block(matrix: np.ndarray, word_bits: int, total_rows: int,
@@ -289,12 +324,16 @@ class ShardedCamPipeline:
             block = self._bits[spec.global_rows]
             block_populated = self._populated[spec.global_rows]
             replicas = []
-            for _ in range(self._num_replicas):
-                port = self._port_factory(spec.rows)
+            for replica in range(self._num_replicas):
+                port = self._new_port(spec, replica)
                 self._load_port(port, block, block_populated)
                 replicas.append(port)
             ports.append(replicas)
         return ports
+
+    def _new_port(self, spec: Any, replica: int) -> Any:
+        """A fresh, empty port for one ``(shard, replica)`` slot."""
+        return self._port_factory(spec.rows)
 
     @staticmethod
     def _load_port(port: Any, block: np.ndarray,
@@ -382,36 +421,6 @@ class ShardedCamPipeline:
         if rows.size and (rows.size == 1 or np.all(np.diff(rows) == 1)):
             return (int(rows[0]), int(rows[-1]) + 1)
         return rows
-
-    def _snapshot_plane_locked(
-            self, fanout: str
-    ) -> Tuple[Optional[Executor], Optional[StorageHandle], bool]:
-        """Plane decisions for one search; the caller holds the state lock.
-
-        Returns ``(plane, handle, shared)``.  ``plane`` is ``None`` only
-        for fused mode with no configured engine (the legacy single
-        in-process kernel).  ``handle`` is *acquired* for the caller
-        whenever the fan-out reads published storage -- fused mode on a
-        configured engine, or the process engine's shared ports path --
-        and must be released when the search finishes; the acquire is
-        what keeps a concurrently retired segment alive until then.
-        ``shared`` selects the ports path that computes counts from the
-        published global storage with parent-side accounting.
-        """
-        if fanout == "fused":
-            if self._executor_spec is None:
-                return None, None, False
-            plane = self._get_plane_locked()
-            handle = self._ensure_handle_locked(plane)
-            handle.acquire()
-            return plane, handle, False
-        plane = self._get_plane_locked()
-        shared = (not plane.in_process) and self._ports_analytic
-        handle = None
-        if shared:
-            handle = self._ensure_handle_locked(plane)
-            handle.acquire()
-        return plane, handle, shared
 
     def _fused_counts(self, packed: np.ndarray,
                       storage: Union[np.ndarray, StorageHandle],
@@ -602,40 +611,11 @@ class ShardedCamPipeline:
         num_queries = packed.shape[0]
         if num_queries == 0:
             return np.full((0, self.rows), -1, dtype=np.int64), 0.0, 0
-        expected_words = self._packed.shape[1]
-        if packed.shape[1] != expected_words:
-            raise ValueError(
-                f"packed queries must have {expected_words} words, "
-                f"got {packed.shape[1]}")
-        with self._state_lock:
-            plan, ports, locks = self.plan, self._ports, self._port_locks
-            router, fanout = self.router, self.fanout
-            plane, handle, shared = self._snapshot_plane_locked(fanout)
-            # Copy-on-write snapshots: write_rows swaps whole arrays, so
-            # these stay internally consistent for the rest of the search.
-            packed_storage, populated = self._packed, self._populated
-        selection = router.begin_search()
-        _count_fanout(fanout, num_queries)
-        try:
-            with _traced_stage("fanout", mode=fanout,
-                               shards=plan.num_shards, queries=num_queries,
-                               executor=getattr(plane, "name", "inline")):
-                if fanout == "fused":
-                    global_counts, energy, latency = self._search_fused(
-                        packed,
-                        handle if handle is not None else packed_storage,
-                        plan, ports, selection, plane)
-                elif shared:
-                    global_counts, energy, latency = self._search_ports_shared(
-                        packed, plan, ports, locks, selection, plane, handle)
-                else:
-                    global_counts, energy, latency = self._search_ports(
-                        packed, plan, ports, locks, plane, selection)
-        finally:
-            router.end_search(selection)
-            if handle is not None:
-                handle.release()
+        self._check_words(packed)
+        with self._fanout(num_queries) as snap:
+            global_counts, energy, latency = self._counts(snap, packed)
 
+        populated = snap.populated
         distances = np.full((num_queries, self.rows), -1, dtype=np.int64)
         if populated.any():
             with _traced_stage("gather", rows=int(self.rows)):
@@ -648,16 +628,10 @@ class ShardedCamPipeline:
             # never serialise on the O(batch x rows) pass.
             noisy = getattr(self.sense_amp, "timing_noise_sigma_ps", 0.0) > 0
             with _traced_stage("digitise", values=int(flat_counts.size)):
-                if noisy:
-                    with self._accounting_lock:
-                        sensed = self.sense_amp.estimate_distances(flat_counts)
-                else:
+                with self._accounting_lock if noisy else nullcontext():
                     sensed = self.sense_amp.estimate_distances(flat_counts)
                 distances[:, populated] = sensed.reshape(num_queries, -1)
-        with self._accounting_lock:
-            self._search_energy_pj += energy
-            self._search_count += num_queries * plan.num_shards
-            self._batches += 1
+        self._accrue(energy, num_queries * snap.plan.num_shards)
         return distances, energy, latency
 
     def topk_packed(self, packed_queries: np.ndarray, k: int) -> TopKResult:
@@ -684,6 +658,14 @@ class ShardedCamPipeline:
         array do) and the top-k is taken over the sensed distances;
         ``gathered_values`` then honestly reports the full gather.
 
+        Only per-port execution ships candidate sets: each selected replica
+        selects its local top-k (:meth:`_port_topk`) and one merge keeps the
+        global top-k.  Fused and process-shared storage already yield the
+        gathered count matrix, so one selection over its populated columns
+        is exact; ``gathered_values`` still reports the per-shard candidate
+        traffic (``min(k, shard occupancy)`` values per shard per query)
+        the hardware would move.
+
         Degenerate inputs are shaped no-ops like the search paths: an empty
         ``(0, w)`` batch, ``k = 0`` or an unpopulated cluster returns
         zero-sized results without issuing a search.
@@ -696,81 +678,57 @@ class ShardedCamPipeline:
         k_eff = min(k, self.occupancy)
         if num_queries == 0 or k_eff == 0:
             return empty_topk(num_queries, k_eff)
-        expected_words = self._packed.shape[1]
-        if packed.shape[1] != expected_words:
-            raise ValueError(
-                f"packed queries must have {expected_words} words, "
-                f"got {packed.shape[1]}")
-        with self._state_lock:
-            plan, ports, locks = self.plan, self._ports, self._port_locks
-            router, fanout = self.router, self.fanout
-            plane, handle, shared = self._snapshot_plane_locked(fanout)
-            packed_storage, populated = self._packed, self._populated
-        fused_storage = handle if handle is not None else packed_storage
+        self._check_words(packed)
         noisy = getattr(self.sense_amp, "timing_noise_sigma_ps", 0.0) > 0
-        selection = router.begin_search()
-        _count_fanout(f"topk_{fanout}", num_queries)
-        try:
-            fanout_stage = partial(
-                _traced_stage, "fanout", mode=fanout, k=int(k),
-                shards=plan.num_shards, queries=num_queries,
-                executor=getattr(plane, "name", "inline"))
-            if noisy:
-                # Full gather: digitise every populated row in global row
-                # order (the same flat stream search_batch_packed feeds the
-                # amplifier), then select over the sensed distances.
-                with fanout_stage():
-                    if fanout == "fused":
-                        counts, energy, latency = self._search_fused(
-                            packed, fused_storage, plan, ports, selection,
-                            plane)
-                    elif shared:
-                        counts, energy, latency = self._search_ports_shared(
-                            packed, plan, ports, locks, selection, plane,
-                            handle)
-                    else:
-                        counts, energy, latency = self._search_ports(
-                            packed, plan, ports, locks, plane, selection)
-                row_ids = np.nonzero(populated)[0].astype(np.int64)
-                with _traced_stage("digitise", values=int(
-                        num_queries * row_ids.size)):
-                    with self._accounting_lock:
-                        sensed = self.sense_amp.estimate_distances(
-                            counts[:, populated].reshape(-1))
-                    sensed = np.asarray(sensed, dtype=np.int64).reshape(
-                        num_queries, -1)
-                with _traced_stage("gather", values=int(
-                        num_queries * row_ids.size)):
-                    indices, distances = select_topk(sensed, row_ids, k_eff,
-                                                     self.rows)
-                gathered_per_query = int(row_ids.size)
-            elif fanout == "fused":
-                with fanout_stage():
-                    indices, raw, energy, latency, gathered_per_query = (
-                        self._topk_fused(packed, fused_storage, populated,
-                                         plan, ports, selection, k, plane))
-                distances = self._digitise_selected(raw)
-            elif shared:
-                with fanout_stage():
-                    indices, raw, energy, latency, gathered_per_query = (
-                        self._topk_ports_shared(packed, populated, plan,
-                                                ports, locks, selection,
-                                                plane, handle, k))
-                distances = self._digitise_selected(raw)
+        with self._fanout(num_queries, "topk_", k=int(k)) as snap:
+            populated = snap.populated
+            if snap.per_port and not noisy:
+                ids, raws, energies, latencies = zip(*self._per_port(
+                    snap, num_queries,
+                    lambda spec, port: self._port_topk(port, spec, populated,
+                                                       packed, k)))
+                with _traced_stage("gather", shards=len(ids)):
+                    candidate_ids = np.concatenate(ids, axis=1)
+                    indices, raw = select_topk(
+                        np.concatenate(raws, axis=1), candidate_ids, k,
+                        self.rows)
+                gathered_per_query = int(candidate_ids.shape[1])
+                energy, latency = float(sum(energies)), max(latencies)
             else:
-                with fanout_stage():
-                    indices, raw, energy, latency, gathered_per_query = (
-                        self._topk_ports(packed, populated, plan, ports,
-                                         locks, plane, selection, k))
-                distances = self._digitise_selected(raw)
-        finally:
-            router.end_search(selection)
-            if handle is not None:
-                handle.release()
-        with self._accounting_lock:
-            self._search_energy_pj += energy
-            self._search_count += num_queries * plan.num_shards
-            self._batches += 1
+                counts, energy, latency = self._counts(snap, packed)
+                if not noisy:
+                    if populated.all():
+                        row_ids = np.arange(self.rows, dtype=np.int64)
+                        candidates = counts
+                    else:
+                        row_ids = np.nonzero(populated)[0].astype(np.int64)
+                        candidates = counts[:, populated]
+                    indices, raw = select_topk(candidates, row_ids, k,
+                                               self.rows)
+                    gathered_per_query = sum(
+                        min(k, int(np.count_nonzero(
+                            populated[spec.global_rows])))
+                        for spec in snap.plan.shards)
+        if noisy:
+            # Full gather: digitise every populated row in global row
+            # order (the same flat stream search_batch_packed feeds the
+            # amplifier), then select over the sensed distances.
+            row_ids = np.nonzero(populated)[0].astype(np.int64)
+            with _traced_stage("digitise", values=int(
+                    num_queries * row_ids.size)):
+                with self._accounting_lock:
+                    sensed = self.sense_amp.estimate_distances(
+                        counts[:, populated].reshape(-1))
+                sensed = np.asarray(sensed, dtype=np.int64).reshape(
+                    num_queries, -1)
+            with _traced_stage("gather", values=int(
+                    num_queries * row_ids.size)):
+                indices, distances = select_topk(sensed, row_ids, k_eff,
+                                                 self.rows)
+            gathered_per_query = int(row_ids.size)
+        else:
+            distances = self._digitise_selected(raw)
+        self._accrue(energy, num_queries * snap.plan.num_shards)
         gathered = num_queries * gathered_per_query
         return TopKResult(
             indices=indices,
@@ -780,6 +738,21 @@ class ShardedCamPipeline:
             gathered_values=gathered,
         )
 
+    def _check_words(self, packed: np.ndarray) -> None:
+        """Reject packed queries whose word count differs from the storage."""
+        expected_words = self._packed.shape[1]
+        if packed.shape[1] != expected_words:
+            raise ValueError(
+                f"packed queries must have {expected_words} words, "
+                f"got {packed.shape[1]}")
+
+    def _accrue(self, energy: float, searches: int) -> None:
+        """Charge one batch's search energy and per-shard query searches."""
+        with self._accounting_lock:
+            self._search_energy_pj += energy
+            self._search_count += searches
+            self._batches += 1
+
     def _digitise_selected(self, raw: np.ndarray) -> np.ndarray:
         """Noise-free elementwise read-out of the merged survivors only."""
         with _traced_stage("digitise", values=int(raw.size)):
@@ -787,238 +760,180 @@ class ShardedCamPipeline:
                 self.sense_amp.estimate_distances(raw.reshape(-1)),
                 dtype=np.int64).reshape(raw.shape)
 
-    def _topk_fused(self, packed: np.ndarray,
-                    packed_storage: Union[np.ndarray, StorageHandle],
-                    populated: np.ndarray, plan: ShardPlan,
-                    ports: List[List[Any]], selection: Tuple[int, ...],
-                    k: int, plane: Optional[Executor] = None,
-                    ) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-        """One vectorised kernel, then one global selection on raw counts.
+    # -- fan-out -------------------------------------------------------------------
 
-        The fused storage is already in global row order, so the global
-        top-k equals the merge of per-shard top-ks; the gather accounting
-        still reports the per-shard candidate traffic (``min(k, shard
-        occupancy)`` values per shard per query) the hardware would move.
+    @contextmanager
+    def _fanout(self, num_queries: int, label: str = "",
+                **attributes: Any) -> Iterator[_Snapshot]:
+        """One search's structure snapshot, held open for its fan-out.
+
+        Takes the plan, ports, plane decisions and copy-on-write storage
+        under the state lock (searches then run lock-free on the
+        snapshot), marks one replica per shard busy in the router, bumps
+        the ``label + mode`` fan-out counters and opens the ``fanout``
+        span.  On exit -- also on failure -- the router selection and the
+        acquired storage handle are released.
+
+        The plane is ``None`` only for fused mode with no configured
+        engine (the legacy single in-process kernel).  The storage handle
+        is *acquired* whenever the fan-out reads published storage --
+        fused mode on a configured engine, or the process engine's shared
+        ports path, which computes counts from the published global
+        storage with parent-side accounting -- and the acquire is what
+        keeps a concurrently retired segment alive until the search ends.
         """
-        num_queries = packed.shape[0]
-        started = time.perf_counter()
-        counts = self._fused_counts(packed, packed_storage, plane)
-        if populated.all():
-            row_ids = np.arange(self.rows, dtype=np.int64)
-            candidates = counts
+        with self._state_lock:
+            plan, ports, locks = self.plan, self._ports, self._port_locks
+            router, fanout = self.router, self.fanout
+            plane = (None if fanout == "fused" and self._executor_spec is None
+                     else self._get_plane_locked())
+            shared = (fanout == "ports" and not plane.in_process
+                      and self._ports_analytic)
+            handle = (self._ensure_handle_locked(plane).acquire()
+                      if plane is not None and (fanout == "fused" or shared)
+                      else None)
+            # Copy-on-write snapshots: write_rows swaps whole arrays, so
+            # these stay internally consistent for the rest of the search.
+            packed_storage, populated = self._packed, self._populated
+        selection = router.begin_search()
+        _count_fanout(label + fanout, num_queries)
+        try:
+            with _traced_stage("fanout", mode=fanout, **attributes,
+                               shards=plan.num_shards, queries=num_queries,
+                               executor=getattr(plane, "name", "inline")):
+                yield _Snapshot(
+                    plan=plan, ports=ports, locks=locks, selection=selection,
+                    fanout=fanout, plane=plane,
+                    per_port=fanout == "ports" and not shared,
+                    storage=handle if handle is not None else packed_storage,
+                    populated=populated)
+        finally:
+            router.end_search(selection)
+            if handle is not None:
+                handle.release()
+
+    def _counts(self, snap: _Snapshot,
+                packed: np.ndarray) -> tuple[np.ndarray, float, int]:
+        """The gathered ``(batch, rows)`` raw count matrix, energy, latency.
+
+        The one count producer behind every search path; it is the only
+        place the fan-out mode is dispatched on:
+
+        * **fused** -- one vectorised kernel over the fused storage, whose
+          rows are already in global order, so the kernel's output *is*
+          the gathered count matrix.  Energy/latency are accounted per
+          selected shard replica analytically.
+        * **process-shared** -- workers slice the published global storage
+          by each shard's rows -- exactly the words that shard's port
+          array holds (unpopulated rows are zero both ways), so the counts
+          are bit-identical to the object path -- while energy/latency
+          accrue parent-side through the ports' analytic surface, keeping
+          every port's own counters consistent with an in-array search.
+        * **per-port** -- each selected replica's array runs its own kernel
+          (:meth:`_per_port`) and the plan gathers the columns.
+
+        In the first two modes every shard reports the shared pass
+        duration in its ``shard_search_completed`` event -- on hardware
+        the shards genuinely run concurrently.
+        """
+        plan, num_queries = snap.plan, packed.shape[0]
+        if snap.per_port:
+            blocks, energies, latencies = zip(*self._per_port(
+                snap, num_queries,
+                lambda _spec, port: port.mismatch_counts_packed(packed)))
+            energy, latency = float(sum(energies)), max(latencies)
         else:
-            row_ids = np.nonzero(populated)[0].astype(np.int64)
-            candidates = counts[:, populated]
-        indices, raw = select_topk(candidates, row_ids, k, self.rows)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        energy = 0.0
-        latency = 0
-        gathered_per_query = 0
-        for shard in range(plan.num_shards):
-            port = ports[shard][selection[shard]]
-            energy += num_queries * port.search_energy_pj()
-            latency = max(latency, num_queries * port.search_latency_cycles)
-            shard_occupancy = int(
-                np.count_nonzero(populated[plan.shards[shard].global_rows]))
-            gathered_per_query += min(k, shard_occupancy)
-        if self._observers:
-            for shard in range(plan.num_shards):
-                notify_all(self._observers, "shard_search_completed",
-                           shard, selection[shard], num_queries, elapsed_ms)
-        return indices, raw, energy, latency, gathered_per_query
-
-    def _topk_ports(self, packed: np.ndarray, populated: np.ndarray,
-                    plan: ShardPlan, ports: List[List[Any]],
-                    locks: List[List[threading.Lock]],
-                    plane: Executor, selection: Tuple[int, ...],
-                    k: int) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-        """Hardware-faithful partial gather: local top-k per port, one merge.
-
-        Each selected replica runs its own kernel and ships only its local
-        ``min(k, occupancy)`` best ``(count, global row id)`` candidates;
-        the merge selects the global top-k over the ``k x shards`` candidate
-        matrix.  Because every key carries its global row id, the merged
-        order is identical to a single array's selection.
-        """
-        num_queries = packed.shape[0]
-
-        def _topk_one(shard: int) -> tuple[np.ndarray, np.ndarray, float, int]:
-            spec = plan.shards[shard]
-            replica = selection[shard]
+            fused = snap.fanout == "fused"
             started = time.perf_counter()
-            with locks[shard][replica]:
-                counts, energy, latency = (
-                    ports[shard][replica].mismatch_counts_packed(packed))
-            local_populated = populated[spec.global_rows]
-            local_ids = spec.global_rows[local_populated]
-            local_indices, local_raw = select_topk(
-                counts[:, local_populated], local_ids, k, self.rows)
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries,
-                           (time.perf_counter() - started) * 1e3)
-            return local_indices, local_raw, energy, latency
+            if fused:
+                counts = self._fused_counts(packed, snap.storage, snap.plane)
+            else:
+                blocks = snap.plane.hamming_fanout(
+                    packed, snap.storage,
+                    [self._shard_selector(spec) for spec in plan.shards])
+            elapsed_ms = (time.perf_counter() - started) * 1e3
+            energy, latency = 0.0, 0
+            for shard, replica in enumerate(snap.selection):
+                port = snap.ports[shard][replica]
+                if fused:
+                    shard_energy = num_queries * port.search_energy_pj()
+                    shard_latency = num_queries * port.search_latency_cycles
+                else:
+                    with snap.locks[shard][replica]:
+                        shard_energy, shard_latency = (
+                            port.account_packed_search(num_queries))
+                energy += shard_energy
+                latency = max(latency, shard_latency)
+                self._shard_done(shard, replica, num_queries, elapsed_ms)
+            if fused:
+                return counts, energy, latency
+        global_counts = np.empty((num_queries, self.rows), dtype=np.int64)
+        plan.gather_columns(blocks, global_counts)
+        return global_counts, float(energy), latency
+
+    def _per_port(self, snap: _Snapshot, num_queries: int,
+                  op: Callable[[Any, Any], Any]) -> List[Any]:
+        """Run ``op(spec, port)`` on every shard's selected replica.
+
+        Hardware-faithful per-port execution, one result per shard in
+        shard order.  Each task times its shard, calls the port through
+        the :meth:`_call_port` seam and emits the shard's event.  The port
+        objects run their own kernels (in-process -- the thread engine
+        overlaps them where NumPy releases the GIL; the process engine
+        lands here only for ports without the analytic surface and then
+        runs them serially, a documented degradation).
+        """
+        def _one(shard: int) -> Any:
+            started = time.perf_counter()
+            result, replica = self._call_port(
+                shard, snap.ports, snap.locks, snap.selection[shard],
+                partial(op, snap.plan.shards[shard]))
+            self._shard_done(shard, replica, num_queries,
+                             (time.perf_counter() - started) * 1e3)
+            return result
 
         # Pool threads don't inherit this thread's ambient trace scope;
         # scoped_task re-establishes it so the shard_search_completed
         # events the tasks emit still find their fanout parent.
         ambient = _obs_current_span()
-        results = plane.run_tasks(
-            [_obs_scoped_task(partial(_topk_one, shard), ambient)
-             for shard in range(plan.num_shards)])
-        return self._merge_topk_candidates(results, k)
+        return snap.plane.run_tasks(
+            [_obs_scoped_task(partial(_one, shard), ambient)
+             for shard in range(snap.plan.num_shards)])
 
-    def _topk_ports_shared(self, packed: np.ndarray, populated: np.ndarray,
-                           plan: ShardPlan, ports: List[List[Any]],
-                           locks: List[List[threading.Lock]],
-                           selection: Tuple[int, ...], plane: Executor,
-                           handle: StorageHandle,
-                           k: int) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-        """Partial gather on the process engine: shared counts, local merges.
+    def _call_port(self, shard: int, ports: List[List[Any]],
+                   locks: List[List[threading.Lock]], replica: int,
+                   op: Callable[[Any], Any]) -> Tuple[Any, int]:
+        """Run ``op(port)`` on one shard's selected replica, under its lock.
 
-        Workers compute each shard's count block from the published global
-        storage (the same words the port arrays hold, so the counts are
-        bit-identical); the local top-k selections, the merge and the
-        analytic accounting all stay parent-side.
+        The per-port seam: returns ``(result, replica)``, the replica that
+        answered.  :class:`~repro.net.remote.RemoteCamCluster` installs its
+        failover loop here, which may answer from another replica.
         """
-        num_queries = packed.shape[0]
-        selectors = [self._shard_selector(spec) for spec in plan.shards]
-        started = time.perf_counter()
-        blocks = plane.hamming_fanout(packed, handle, selectors)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        results = []
-        for shard in range(plan.num_shards):
-            spec = plan.shards[shard]
-            replica = selection[shard]
-            with locks[shard][replica]:
-                energy, latency = (
-                    ports[shard][replica].account_packed_search(num_queries))
-            local_populated = populated[spec.global_rows]
-            local_ids = spec.global_rows[local_populated]
-            local_indices, local_raw = select_topk(
-                blocks[shard][:, local_populated], local_ids, k, self.rows)
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries, elapsed_ms)
-            results.append((local_indices, local_raw, energy, latency))
-        return self._merge_topk_candidates(results, k)
+        with locks[shard][replica]:
+            return op(ports[shard][replica]), replica
 
-    def _merge_topk_candidates(
-            self, results: List[tuple], k: int,
-    ) -> tuple[np.ndarray, np.ndarray, float, int, int]:
-        """Merge per-shard ``(indices, raw, energy, latency)`` candidates."""
-        with _traced_stage("gather", shards=len(results)):
-            candidate_ids = np.concatenate(
-                [indices for indices, _, _, _ in results], axis=1)
-            candidate_raw = np.concatenate(
-                [raw for _, raw, _, _ in results], axis=1)
-            gathered_per_query = int(candidate_ids.shape[1])
-            indices, raw = select_topk(candidate_raw, candidate_ids, k,
-                                       self.rows)
-        energy = float(sum(energy for _, _, energy, _ in results))
-        latency = max(latency for _, _, _, latency in results)
-        return indices, raw, energy, latency, gathered_per_query
+    def _port_topk(self, port: Any, spec: Any, populated: np.ndarray,
+                   packed: np.ndarray, k: int) -> tuple:
+        """One port's local top-k ``(global ids, raw counts, energy, latency)``.
 
-    def _search_fused(self, packed: np.ndarray,
-                      packed_storage: Union[np.ndarray, StorageHandle],
-                      plan: ShardPlan, ports: List[List[Any]],
-                      selection: Tuple[int, ...],
-                      plane: Optional[Executor] = None,
-                      ) -> tuple[np.ndarray, float, int]:
-        """One vectorised kernel over the fused storage; analytic accounting.
-
-        The fused storage rows are already in global order, so the kernel's
-        output *is* the gathered count matrix.  Every shard reports the
-        shared pass duration in its ``shard_search_completed`` event -- on
-        hardware the shards genuinely run concurrently.
+        The port runs its own kernel and ships only its local
+        ``min(k, occupancy)`` best candidates, selected on raw counts with
+        the global ``(distance, row id)`` tie-break -- because every key
+        carries its global row id, the merged order is identical to a
+        single array's selection.
         """
-        num_queries = packed.shape[0]
-        started = time.perf_counter()
-        counts = self._fused_counts(packed, packed_storage, plane)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        energy = 0.0
-        latency = 0
-        for shard in range(plan.num_shards):
-            port = ports[shard][selection[shard]]
-            energy += num_queries * port.search_energy_pj()
-            latency = max(latency, num_queries * port.search_latency_cycles)
+        counts, energy, latency = port.mismatch_counts_packed(packed)
+        local = populated[spec.global_rows]
+        indices, raw = select_topk(counts[:, local], spec.global_rows[local],
+                                   k, self.rows)
+        return indices, raw, energy, latency
+
+    def _shard_done(self, shard: int, replica: int, queries: int,
+                    service_ms: float) -> None:
+        """Emit one shard's ``shard_search_completed`` to the observers."""
         if self._observers:
-            for shard in range(plan.num_shards):
-                notify_all(self._observers, "shard_search_completed",
-                           shard, selection[shard], num_queries, elapsed_ms)
-        return counts, energy, latency
-
-    def _search_ports(self, packed: np.ndarray, plan: ShardPlan,
-                      ports: List[List[Any]], locks: List[List[threading.Lock]],
-                      plane: Executor,
-                      selection: Tuple[int, ...]) -> tuple[np.ndarray, float, int]:
-        """Hardware-faithful per-port execution, gathered by the plan.
-
-        The port objects run their own kernels (in-process -- the thread
-        engine overlaps them where NumPy releases the GIL; the process
-        engine lands here only for ports without the analytic surface and
-        then runs them serially, a documented degradation).
-        """
-        num_queries = packed.shape[0]
-
-        def _search_one(shard: int) -> tuple[np.ndarray, float, int]:
-            replica = selection[shard]
-            started = time.perf_counter()
-            with locks[shard][replica]:
-                counts, energy, latency = (
-                    ports[shard][replica].mismatch_counts_packed(packed))
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries,
-                           (time.perf_counter() - started) * 1e3)
-            return counts, energy, latency
-
-        ambient = _obs_current_span()  # re-established on the pool threads
-        results = plane.run_tasks(
-            [_obs_scoped_task(partial(_search_one, shard), ambient)
-             for shard in range(plan.num_shards)])
-
-        global_counts = np.empty((num_queries, self.rows), dtype=np.int64)
-        plan.gather_columns([counts for counts, _, _ in results], global_counts)
-        energy = float(sum(energy for _, energy, _ in results))
-        latency = max(latency for _, _, latency in results)
-        return global_counts, energy, latency
-
-    def _search_ports_shared(self, packed: np.ndarray, plan: ShardPlan,
-                             ports: List[List[Any]],
-                             locks: List[List[threading.Lock]],
-                             selection: Tuple[int, ...], plane: Executor,
-                             handle: StorageHandle,
-                             ) -> tuple[np.ndarray, float, int]:
-        """Process-engine ports fan-out over the published global storage.
-
-        Workers slice the shared segment by each shard's rows -- exactly
-        the words that shard's port array holds (unpopulated rows are
-        zero both ways), so the counts are bit-identical to the object
-        path -- while energy/latency accrue parent-side through the
-        ports' analytic surface, keeping every port's own counters
-        consistent with an in-array search.
-        """
-        num_queries = packed.shape[0]
-        selectors = [self._shard_selector(spec) for spec in plan.shards]
-        started = time.perf_counter()
-        blocks = plane.hamming_fanout(packed, handle, selectors)
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        energy = 0.0
-        latency = 0
-        for shard in range(plan.num_shards):
-            replica = selection[shard]
-            with locks[shard][replica]:
-                shard_energy, shard_latency = (
-                    ports[shard][replica].account_packed_search(num_queries))
-            energy += shard_energy
-            latency = max(latency, shard_latency)
-            if self._observers:
-                notify_all(self._observers, "shard_search_completed",
-                           shard, replica, num_queries, elapsed_ms)
-        global_counts = np.empty((num_queries, self.rows), dtype=np.int64)
-        plan.gather_columns(blocks, global_counts)
-        return global_counts, float(energy), latency
+            notify_all(self._observers, "shard_search_completed",
+                       shard, replica, queries, service_ms)
 
     # -- accounting ----------------------------------------------------------------
 

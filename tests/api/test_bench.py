@@ -121,7 +121,7 @@ class TestSuites:
         assert json.loads((tmp_path / "BENCH_serve.json").read_text()) == document
 
     def test_threaded_records_skip_single_block_cells(self):
-        from repro.core.bitops import kernel_block_rows
+        from repro.bitops import kernel_block_rows
         # 64 x 64 is one kernel block; 1024 x 1024 is several.
         assert kernel_block_rows(64) >= 64 and kernel_block_rows(1024) < 1024
         records, summary = kernel_microbench(

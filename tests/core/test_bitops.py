@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro.bitops as bitops_impl
-from repro.core.bitops import (
+from repro.bitops import (
     INT16_SAFE_MAX_BITS,
     POPCOUNT_LUT,
     pack_bits,
@@ -20,6 +20,7 @@ from repro.core.hashing import (
     hamming_distance_matrix,
     hamming_distance_matrix_unpacked,
 )
+from repro.exec import ThreadExecutor
 
 
 def naive_hamming(bits_a, bits_b):
@@ -204,50 +205,26 @@ class TestHammingDistanceMatrixDispatch:
 
 
 class TestThreadedKernel:
-    """Row-block threading of the packed kernel (REPRO_NUM_THREADS lever)."""
+    """Row-block threading of the packed kernel on the plane's thread engine."""
 
     def test_threaded_matches_serial_across_block_boundaries(self, rng):
         # Rows chosen to span multiple kernel blocks with a ragged tail.
         bits_a = rng.integers(0, 2, size=(1200, 130), dtype=np.uint8)
         bits_b = rng.integers(0, 2, size=(333, 130), dtype=np.uint8)
         packed_a, packed_b = pack_bits(bits_a), pack_bits(bits_b)
-        serial = packed_hamming_matrix(packed_a, packed_b, num_threads=1)
+        serial = packed_hamming_matrix(packed_a, packed_b)
         assert np.array_equal(serial, naive_hamming(bits_a, bits_b))
         for workers in (2, 3, 8):
-            threaded = packed_hamming_matrix(packed_a, packed_b,
-                                             num_threads=workers)
+            with ThreadExecutor(workers) as engine:
+                threaded = packed_hamming_matrix(packed_a, packed_b,
+                                                 executor=engine)
             assert np.array_equal(threaded, serial)
-
-    def test_env_var_engages_threads(self, rng, monkeypatch):
-        bits_a = rng.integers(0, 2, size=(1100, 64), dtype=np.uint8)
-        bits_b = rng.integers(0, 2, size=(64, 64), dtype=np.uint8)
-        packed_a, packed_b = pack_bits(bits_a), pack_bits(bits_b)
-        serial = packed_hamming_matrix(packed_a, packed_b)
-        monkeypatch.setenv(bitops_impl.NUM_THREADS_ENV, "2")
-        assert np.array_equal(packed_hamming_matrix(packed_a, packed_b), serial)
-
-    def test_resolve_num_threads_contract(self, monkeypatch):
-        monkeypatch.delenv(bitops_impl.NUM_THREADS_ENV, raising=False)
-        assert bitops_impl.resolve_num_threads() == 1
-        assert bitops_impl.resolve_num_threads(7) == 7
-        # 0 = one thread per CPU, explicitly or via the environment.
-        assert bitops_impl.resolve_num_threads(0) >= 1
-        monkeypatch.setenv(bitops_impl.NUM_THREADS_ENV, "3")
-        assert bitops_impl.resolve_num_threads() == 3
-        monkeypatch.setenv(bitops_impl.NUM_THREADS_ENV, "0")
-        assert bitops_impl.resolve_num_threads() >= 1
-
-    def test_resolve_num_threads_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(bitops_impl.NUM_THREADS_ENV, "many")
-        with pytest.raises(ValueError, match="REPRO_NUM_THREADS"):
-            bitops_impl.resolve_num_threads()
-        with pytest.raises(ValueError):
-            bitops_impl.resolve_num_threads(-1)
 
     def test_threaded_small_input_falls_back_to_serial_path(self, rng):
         # A single block never pays the executor overhead; results identical.
         bits = rng.integers(0, 2, size=(8, 96), dtype=np.uint8)
         packed = pack_bits(bits)
-        assert np.array_equal(
-            packed_hamming_matrix(packed, packed, num_threads=4),
-            naive_hamming(bits, bits))
+        with ThreadExecutor(4) as engine:
+            assert np.array_equal(
+                packed_hamming_matrix(packed, packed, executor=engine),
+                naive_hamming(bits, bits))

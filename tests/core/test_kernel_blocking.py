@@ -2,8 +2,8 @@
 
 Every shape below is pinned against the naive XOR-sum over unpacked bits:
 ragged operands (a single ``b`` row, ``rows_a`` spanning several blocks,
-1 and 17 words), each execution-plane engine, the legacy thread pool and
-the byte-LUT popcount fallback.
+1 and 17 words), the serial kernel, each execution-plane engine and the
+byte-LUT popcount fallback.
 """
 
 import numpy as np
@@ -69,16 +69,8 @@ class TestRaggedShapes:
     @pytest.mark.parametrize("rows_a,rows_b,bit_length", RAGGED)
     def test_serial_matches_naive(self, rng, rows_a, rows_b, bit_length):
         bits_a, bits_b = bit_pair(rng, rows_a, rows_b, bit_length)
-        result = packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b),
-                                       num_threads=1)
+        result = packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b))
         assert result.dtype == np.int64
-        assert np.array_equal(result, naive_hamming(bits_a, bits_b))
-
-    @pytest.mark.parametrize("rows_a,rows_b,bit_length", RAGGED)
-    def test_thread_pool_matches_naive(self, rng, rows_a, rows_b, bit_length):
-        bits_a, bits_b = bit_pair(rng, rows_a, rows_b, bit_length)
-        result = packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b),
-                                       num_threads=2)
         assert np.array_equal(result, naive_hamming(bits_a, bits_b))
 
     @pytest.mark.parametrize("rows_a,rows_b,bit_length", RAGGED)
@@ -86,8 +78,7 @@ class TestRaggedShapes:
                                         rows_a, rows_b, bit_length):
         monkeypatch.setattr(bitops, "HAVE_BITWISE_COUNT", False)
         bits_a, bits_b = bit_pair(rng, rows_a, rows_b, bit_length)
-        result = packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b),
-                                       num_threads=1)
+        result = packed_hamming_matrix(pack_bits(bits_a), pack_bits(bits_b))
         assert np.array_equal(result, naive_hamming(bits_a, bits_b))
 
     def test_operands_are_not_modified(self, rng):

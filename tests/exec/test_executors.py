@@ -26,6 +26,7 @@ from repro.exec import (
     resolve_workers,
     split_rows,
 )
+from repro.exec import tasks
 
 EXECUTORS = list(EXECUTOR_NAMES)
 
@@ -116,9 +117,9 @@ class TestKernelExecutorHook:
         reference = packed_hamming_matrix(a, b)
         monkeypatch.setenv(EXECUTOR_ENV, "processes")
         assert np.array_equal(packed_hamming_matrix(a, b), reference)
-        # An explicit num_threads pins the legacy path (and is what keeps
+        # Plane tasks call the serial loop directly (which is what keeps
         # fork-inheriting workers from re-entering the plane).
-        assert np.array_equal(packed_hamming_matrix(a, b, num_threads=1),
+        assert np.array_equal(tasks.count_rows(b, (0, b.shape[0]), a),
                               reference)
 
     def test_bad_environment_name_raises(self, rng, monkeypatch):

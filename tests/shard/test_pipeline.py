@@ -6,6 +6,7 @@ import pytest
 from repro.cam.array import CamArray
 from repro.cam.dynamic import DynamicCam, DynamicCamConfig
 from repro.cam.sense_amplifier import ClockedSelfReferencedSenseAmp
+from repro.exec import EXECUTOR_NAMES
 from repro.serve.metrics import RecordingObserver
 from repro.shard import ShardedCamPipeline
 
@@ -123,15 +124,63 @@ class TestReplicasAndWorkers:
         finally:
             pooled.close()
 
-    def test_observers_hear_every_shard(self, stored_bits, queries):
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("method", ["search_batch_packed", "topk_packed"])
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    @pytest.mark.parametrize("fanout", ["fused", "ports"])
+    def test_observers_hear_every_shard(self, stored_bits, queries, fanout,
+                                        executor, method, noisy):
         recorder = RecordingObserver()
+        sense_amp = ClockedSelfReferencedSenseAmp(
+            word_bits=WORD_BITS, timing_noise_sigma_ps=50.0 if noisy else 0.0,
+            seed=9)
         pipeline = make_pipeline(stored_bits, num_shards=4, num_replicas=2,
+                                 fanout=fanout, executor=executor,
+                                 num_workers=2, sense_amp=sense_amp,
                                  observers=(recorder,))
-        pipeline.search_batch(queries)
+        try:
+            assert_one_event_per_shard(pipeline, recorder, queries, method)
+        finally:
+            pipeline.close()
+
+    @pytest.mark.parametrize("method", ["search_batch_packed", "topk_packed"])
+    def test_remote_observers_hear_every_shard(self, stored_bits, queries,
+                                               method):
+        from repro.net.cluster import LocalShardCluster
+        from repro.net.remote import RemoteCamCluster
+
+        recorder = RecordingObserver()
+        with LocalShardCluster(total_rows=stored_bits.shape[0],
+                               word_bits=WORD_BITS, num_shards=4,
+                               num_replicas=2) as cluster:
+            remote = RemoteCamCluster(cluster.endpoints,
+                                      total_rows=stored_bits.shape[0],
+                                      word_bits=WORD_BITS,
+                                      observers=(recorder,))
+            remote.write_rows(stored_bits)
+            try:
+                assert_one_event_per_shard(remote, recorder, queries, method)
+            finally:
+                remote.close()
+
+
+def assert_one_event_per_shard(pipeline, recorder, queries, method):
+    """Two calls, each emitting exactly one valid event per shard."""
+    from repro.bitops import pack_bits
+
+    packed = pack_bits(queries)
+    for call in range(1, 3):
+        if method == "topk_packed":
+            pipeline.topk_packed(packed, 3)
+        else:
+            pipeline.search_batch_packed(packed)
         events = recorder.of("shard_search_completed")
-        assert sorted(event[0] for event in events) == [0, 1, 2, 3]
-        for _shard, replica, count, service_ms in events:
-            assert replica in (0, 1)
+        assert len(events) == call * pipeline.num_shards
+        latest = events[-pipeline.num_shards:]
+        assert sorted(event[0] for event in latest) == list(
+            range(pipeline.num_shards))
+        for _shard, replica, count, service_ms in latest:
+            assert 0 <= replica < pipeline.num_replicas
             assert count == queries.shape[0]
             assert service_ms >= 0.0
 
